@@ -9,12 +9,13 @@ which never appear in DNS logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.dns.domains import matches_suffix
-from repro.net.ip import Prefix
+from repro.net.ip import Prefix, PrefixTable
 from repro.perf.kernels import (
     domain_str_array,
     suffix_match_table,
@@ -42,7 +43,11 @@ class AppSignature:
 
     def matches_ip(self, address: int) -> bool:
         """True when an address falls in any signature range."""
-        return any(prefix.contains(address) for prefix in self.ip_ranges)
+        return self._ip_table.lookup(address) >= 0
+
+    @cached_property
+    def _ip_table(self) -> PrefixTable:
+        return PrefixTable(self.ip_ranges)
 
     # -- dataset-level matching -----------------------------------------
 
@@ -87,11 +92,7 @@ class AppSignature:
 
     def ip_mask(self, dataset: FlowDataset) -> np.ndarray:
         """Flow mask: destination inside a signature IP range."""
-        mask = np.zeros(len(dataset), dtype=bool)
-        for prefix in self.ip_ranges:
-            mask |= ((dataset.resp_h >= prefix.first)
-                     & (dataset.resp_h <= prefix.last))
-        return mask
+        return self._ip_table.lookup_many(dataset.resp_h) >= 0
 
     def flow_mask(self, dataset: FlowDataset) -> np.ndarray:
         """Flow mask: matched by domain or by IP range."""

@@ -34,17 +34,27 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
     if data.size == 0:
         return ""
     if data.size > width:
-        # Downsample by averaging fixed-size chunks.
-        edges = np.linspace(0, data.size, width + 1).astype(int)
-        data = np.array([
-            data[lo:hi].mean() if hi > lo else 0.0
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ])
+        data = _chunk_means(data, width)
     top = data.max()
     if top <= 0:
         return _BLOCKS[0] * len(data)
     scaled = (data / top * (len(_BLOCKS) - 1)).round().astype(int)
     return "".join(_BLOCKS[level] for level in scaled)
+
+
+def _chunk_means(data: np.ndarray, width: int) -> np.ndarray:
+    """Downsample by averaging ``width`` near-equal consecutive chunks.
+
+    Chunks of one length are averaged together by a single fancy-indexed
+    ``mean(axis=1)``; an empty chunk averages to 0.
+    """
+    edges = np.linspace(0, data.size, width + 1).astype(int)
+    starts, lengths = edges[:-1], np.diff(edges)
+    means = np.zeros(width)
+    for length in np.unique(lengths[lengths > 0]):
+        rows = np.flatnonzero(lengths == length)
+        means[rows] = data[starts[rows, None] + np.arange(length)].mean(axis=1)
+    return means
 
 
 def _fmt_bytes(value: float) -> str:

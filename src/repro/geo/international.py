@@ -15,9 +15,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dns.domains import matches_suffix
 from repro.geo.borders import point_in_us
 from repro.geo.midpoint import weighted_geographic_midpoint
+from repro.perf.kernels import (
+    domain_str_array,
+    suffix_match_table,
+    table_flow_mask,
+)
 from repro.pipeline.dataset import FlowDataset
 from repro.util.timeutil import month_bounds
 from repro.world.geo import GeoDatabase
@@ -63,37 +67,21 @@ class InternationalClassifier:
         self.excluded_domain_suffixes = tuple(excluded_domain_suffixes)
         self.reference_month = reference_month
 
-    def _domain_excluded(self, domain: str) -> bool:
-        return matches_suffix(domain, self.excluded_domain_suffixes)
-
     def classify(self, dataset: FlowDataset) -> MidpointReport:
         """Classify every device in the dataset."""
         start, end = month_bounds(*self.reference_month)
         in_month = (dataset.ts >= start) & (dataset.ts < end)
 
-        excluded_domain = np.array(
-            [self._domain_excluded(domain) for domain in dataset.domains],
-            dtype=bool)
-        flow_excluded = np.zeros(len(dataset), dtype=bool)
-        annotated = dataset.domain >= 0
-        flow_excluded[annotated] = excluded_domain[dataset.domain[annotated]]
+        excluded_domain = suffix_match_table(
+            domain_str_array(dataset.domains), self.excluded_domain_suffixes)
+        flow_excluded = table_flow_mask(dataset.domain, excluded_domain)
 
         usable = in_month & ~flow_excluded
         device = dataset.device[usable]
         resp_h = dataset.resp_h[usable]
         weights = dataset.total_bytes[usable].astype(np.float64)
 
-        # Geolocate each distinct destination once.
-        unique_ips, inverse = np.unique(resp_h, return_inverse=True)
-        lat_by_ip = np.full(len(unique_ips), np.nan)
-        lon_by_ip = np.full(len(unique_ips), np.nan)
-        for index, address in enumerate(unique_ips):
-            location = self.geo_db.lookup(int(address))
-            if location is not None:
-                lat_by_ip[index] = location.lat
-                lon_by_ip[index] = location.lon
-        flow_lat = lat_by_ip[inverse]
-        flow_lon = lon_by_ip[inverse]
+        flow_lat, flow_lon = self.geo_db.locate(resp_h)
         located = ~np.isnan(flow_lat)
 
         n = dataset.n_devices

@@ -4,13 +4,17 @@ Addresses travel through the pipeline as plain integers (fast to hash,
 compare, and store in numpy arrays); dotted-quad strings exist only at
 the logging boundary. The :class:`PrefixAllocator` hands out disjoint
 prefixes from a parent block -- used to lay out the synthetic internet's
-address plan and the campus DHCP pools.
+address plan and the campus DHCP pools. :class:`PrefixTable` is the one
+longest-prefix matcher every prefix lookup goes through.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
+
+import numpy as np
 
 
 def ip_to_int(text: str) -> int:
@@ -90,6 +94,69 @@ def prefix_contains(prefix: Prefix, address: int) -> bool:
 def ip_in_any(address: int, prefixes: Iterable[Prefix]) -> bool:
     """Return True when ``address`` falls inside any of the prefixes."""
     return any(prefix.contains(address) for prefix in prefixes)
+
+
+class PrefixTable:
+    """Longest-prefix match over a fixed list of (possibly nested) prefixes.
+
+    Built once by flattening the prefixes into disjoint
+    ``[start, next_start)`` intervals, each labelled with the index of
+    its most specific covering prefix (-1 where none covers it), so a
+    query is a single binary search. Among duplicate prefixes the one
+    listed last wins.
+    """
+
+    def __init__(self, prefixes: Iterable[Prefix]):
+        prefixes = list(prefixes)
+        self._size = len(prefixes)
+        # Enclosing prefixes sort before the prefixes they contain, and
+        # duplicates keep list order, so the innermost (or last-listed)
+        # prefix is always on top of the stack.
+        order = sorted(range(len(prefixes)),
+                       key=lambda i: (prefixes[i].first, prefixes[i].length))
+        starts: List[int] = [-(1 << 63)]
+        owners: List[int] = [-1]
+
+        def mark(start: int, owner: int) -> None:
+            if starts[-1] == start:
+                starts.pop()
+                owners.pop()
+            if owners[-1] != owner:
+                starts.append(start)
+                owners.append(owner)
+
+        stack: List[Tuple[int, int]] = []  # (last address, entry index)
+
+        def close_before(address: int) -> None:
+            while stack and stack[-1][0] < address:
+                last, _ = stack.pop()
+                mark(last + 1, stack[-1][1] if stack else -1)
+
+        for index in order:
+            prefix = prefixes[index]
+            close_before(prefix.first)
+            mark(prefix.first, index)
+            stack.append((prefix.last, index))
+        close_before(1 << 32)
+
+        self._starts = starts
+        self._owners = owners
+        self._starts_arr = np.array(starts, dtype=np.int64)
+        self._owners_arr = np.array(owners, dtype=np.int64)
+
+    def lookup(self, address: int) -> int:
+        """Index of the most specific prefix covering ``address``, or -1."""
+        return self._owners[bisect.bisect_right(self._starts, address) - 1]
+
+    def lookup_many(self, addresses: np.ndarray) -> np.ndarray:
+        """Vector :meth:`lookup`: an int64 index per address, -1 on a miss."""
+        slots = np.searchsorted(self._starts_arr,
+                                np.asarray(addresses, dtype=np.int64),
+                                side="right") - 1
+        return self._owners_arr[slots]
+
+    def __len__(self) -> int:
+        return self._size
 
 
 class PrefixAllocator:

@@ -9,12 +9,11 @@ sees it.
 
 from __future__ import annotations
 
-import bisect
-from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Sequence
 
 import numpy as np
 
-from repro.net.ip import Prefix
+from repro.net.ip import Prefix, PrefixTable
 from repro.net.wire import SegmentBurst
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle via repro.columnar
@@ -25,25 +24,13 @@ class Tap:
     """Filters wire events against an excluded-prefix list."""
 
     def __init__(self, excluded: Sequence[Prefix] = ()):
-        entries = sorted(
-            ((prefix.first, prefix.last) for prefix in excluded))
-        merged: List[Tuple[int, int]] = []
-        for first, last in entries:
-            if merged and first <= merged[-1][1] + 1:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], last))
-            else:
-                merged.append((first, last))
-        self._firsts = [span[0] for span in merged]
-        self._lasts = [span[1] for span in merged]
-        self._firsts_arr = np.array(self._firsts, dtype=np.int64)
-        self._lasts_arr = np.array(self._lasts, dtype=np.int64)
+        self._table = PrefixTable(excluded)
         self.dropped_bursts = 0
         self.dropped_bytes = 0
 
     def is_excluded(self, address: int) -> bool:
         """True when an address falls in an excluded block."""
-        index = bisect.bisect_right(self._firsts, address) - 1
-        return index >= 0 and address <= self._lasts[index]
+        return self._table.lookup(address) >= 0
 
     def filter(self, bursts: Iterable[SegmentBurst]) -> List[SegmentBurst]:
         """Return the bursts the mirror forwards, tallying the drops."""
@@ -58,12 +45,9 @@ class Tap:
 
     def filter_batch(self, batch: "BurstBatch") -> "BurstBatch":
         """Vector twin of :meth:`filter`: same drops, same tallies."""
-        if not self._firsts or batch.n == 0:
+        if not len(self._table) or batch.n == 0:
             return batch
-        index = np.searchsorted(self._firsts_arr, batch.server_ip,
-                                side="right") - 1
-        excluded = (index >= 0) & (
-            batch.server_ip <= self._lasts_arr[np.maximum(index, 0)])
+        excluded = self._table.lookup_many(batch.server_ip) >= 0
         if not excluded.any():
             return batch
         self.dropped_bursts += int(np.count_nonzero(excluded))

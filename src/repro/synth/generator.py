@@ -10,6 +10,7 @@ its logs) evolve exactly as a real server's would.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.config import StudyConfig
@@ -33,6 +34,18 @@ from repro.world.catalog import default_directory
 #: Presence modes for :meth:`CampusTraceGenerator.generate_day`.
 PRESENCE_STUDY = "study"          # honour arrivals/departures (the study)
 PRESENCE_ALL_RESIDENTS = "all_residents"  # everyone home (2019 baseline)
+
+
+@lru_cache(maxsize=None)
+def default_world() -> AddressPlan:
+    """The default catalog's address plan, built once per process.
+
+    Catalog and plan do not depend on the study config, so every
+    generator shares this one instance; callers must treat it (and its
+    directory and geolocation database) as read-only. Built on first
+    use, never at import.
+    """
+    return build_address_plan(default_directory())
 
 
 @dataclass
@@ -62,8 +75,8 @@ class CampusTraceGenerator:
         nobody leaves campus either)."""
         self.config = config
         self.oui_db = oui_db or default_oui_database()
-        self.directory = default_directory()
-        self.plan: AddressPlan = build_address_plan(self.directory)
+        self.plan: AddressPlan = default_world()
+        self.directory = self.plan.directory
         self.archetypes = default_archetypes(self.directory)
         self.behavior = BehaviorModel(self.archetypes,
                                       phase_override=phase_override)

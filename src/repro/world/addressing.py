@@ -19,9 +19,10 @@ Wayback history) are constructed from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.ip import Prefix, PrefixAllocator
+from repro.net.ip import Prefix, PrefixAllocator, PrefixTable
 from repro.world.geo import GeoDatabase, GeoLocation, LOCATIONS
 from repro.world.services import Service, ServiceDirectory
 
@@ -88,11 +89,18 @@ class AddressPlan:
 
     def service_of_address(self, address: int) -> Optional[Service]:
         """Ground-truth reverse lookup (simulation/tests only)."""
-        for name, prefixes in self.service_prefixes.items():
-            for prefix in prefixes:
-                if prefix.contains(address):
-                    return self.directory.get(name)
-        return None
+        table, names = self._service_index
+        entry = table.lookup(address)
+        return self.directory.get(names[entry]) if entry >= 0 else None
+
+    @cached_property
+    def _service_index(self) -> Tuple[PrefixTable, Tuple[str, ...]]:
+        """Every hosting prefix in one table, with its service's name."""
+        pairs = [(prefix, name)
+                 for name, prefixes in self.service_prefixes.items()
+                 for prefix in prefixes]
+        return (PrefixTable([prefix for prefix, _ in pairs]),
+                tuple(name for _, name in pairs))
 
     def published_ranges(self, name: str,
                          wayback_locations: int = 0) -> PublishedRanges:
@@ -160,6 +168,7 @@ def build_address_plan(directory: ServiceDirectory,
         client_allocator.allocate(client_pool_length)
         for _ in range(client_pool_count)
     )
+    geo_db.build_index()
 
     return AddressPlan(
         directory=directory,

@@ -3,17 +3,19 @@
 The paper geolocates every destination IP with a commercial database;
 we substitute a prefix-indexed table built alongside the address plan.
 The analysis-side classifier (:mod:`repro.geo`) consumes only the
-``lookup(ip) -> GeoLocation`` interface, so swapping in a real GeoIP
-backend would be a one-class change.
+batch ``locate(ips) -> (lat, lon)`` interface (``lookup(ip) ->
+GeoLocation`` is its scalar form), so swapping in a real GeoIP backend
+would be a one-class change.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.net.ip import Prefix
+import numpy as np
+
+from repro.net.ip import Prefix, PrefixTable
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,19 @@ LOCATIONS: Dict[str, GeoLocation] = {
 class GeoDatabase:
     """Longest-prefix geolocation over a static prefix table.
 
-    Prefixes are kept sorted by network base; a lookup bisects to the
-    candidate with the greatest base at or below the address and then
-    walks back through enclosing candidates, preferring the longest
-    (most specific) match -- standard GeoIP semantics.
+    Lookups go through one :class:`~repro.net.ip.PrefixTable` over every
+    registered prefix: the most specific prefix covering an address
+    wins, and among duplicates the one added last -- standard GeoIP
+    semantics. The table is built on first query (or by
+    :meth:`build_index`) and dropped by :meth:`add`.
     """
+
+    #: No registered prefix may be shorter than this.
+    MIN_PREFIX_LENGTH = 8
 
     def __init__(self) -> None:
         self._entries: List[Tuple[Prefix, GeoLocation]] = []
-        self._sorted = True
+        self._index: Optional[_GeoIndex] = None
 
     def add(self, prefix: Prefix, location: GeoLocation) -> None:
         """Register a prefix's location."""
@@ -76,37 +82,41 @@ class GeoDatabase:
                 f"prefix {prefix} shorter than /{self.MIN_PREFIX_LENGTH}"
             )
         self._entries.append((prefix, location))
-        self._sorted = False
+        self._index = None
 
-    def _ensure_sorted(self) -> None:
-        if not self._sorted:
-            self._entries.sort(key=lambda item: (item[0].network, item[0].length))
-            self._keys = [entry[0].network for entry in self._entries]
-            self._sorted = True
+    def build_index(self) -> None:
+        """Build the lookup table now rather than on the first query."""
+        self._ensure_index()
 
-    #: No registered prefix is shorter than this, which bounds how far a
-    #: lookup must scan left of its bisect point.
-    MIN_PREFIX_LENGTH = 8
+    def _ensure_index(self) -> "_GeoIndex":
+        index = self._index
+        if index is None:
+            index = self._index = _GeoIndex(self._entries)
+        return index
 
     def lookup(self, address: int) -> Optional[GeoLocation]:
         """Return the location of the most specific prefix covering ``address``."""
-        self._ensure_sorted()
-        if not self._entries:
-            return None
-        idx = bisect.bisect_right(self._keys, address) - 1
-        # Any prefix containing `address` starts at or after this floor
-        # (its size is at most 2**(32 - MIN_PREFIX_LENGTH)).
-        floor = address - (1 << (32 - self.MIN_PREFIX_LENGTH)) + 1
-        best: Optional[Tuple[Prefix, GeoLocation]] = None
-        while idx >= 0:
-            prefix, location = self._entries[idx]
-            if prefix.network < floor:
-                break
-            if prefix.contains(address):
-                if best is None or prefix.length > best[0].length:
-                    best = (prefix, location)
-            idx -= 1
-        return best[1] if best else None
+        entry = self._ensure_index().table.lookup(address)
+        return self._entries[entry][1] if entry >= 0 else None
+
+    def locate(self, addresses: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Vector :meth:`lookup`: latitude and longitude arrays.
+
+        Both are NaN where no registered prefix covers the address.
+        """
+        index = self._ensure_index()
+        entry = index.table.lookup_many(addresses)
+        # Entry -1 (no match) selects the trailing NaN.
+        return index.lat[entry], index.lon[entry]
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+class _GeoIndex:
+    """A :class:`GeoDatabase`'s prefix table plus per-entry coordinates."""
+
+    def __init__(self, entries: Sequence[Tuple[Prefix, GeoLocation]]):
+        self.table = PrefixTable([prefix for prefix, _ in entries])
+        self.lat = np.array([loc.lat for _, loc in entries] + [np.nan])
+        self.lon = np.array([loc.lon for _, loc in entries] + [np.nan])

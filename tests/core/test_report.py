@@ -1,8 +1,10 @@
 """Tests for the text report renderers (using the mini study)."""
 
 import numpy as np
+import pytest
 
 from repro.core.report import (
+    _BLOCKS,
     render_fig1,
     render_fig2,
     render_fig3,
@@ -36,6 +38,30 @@ class TestSparkline:
         line = sparkline([float("nan"), 1.0], width=2)
         assert len(line) == 2
         assert line[0] == " "
+
+    @pytest.mark.parametrize("width", [24, 40, 50, 60, 84])
+    def test_downsampling_matches_chunk_loop(self, width):
+        def chunk_loop(values, width):
+            data = np.asarray(values, dtype=np.float64)
+            data = np.where(np.isnan(data), 0.0, data)
+            if data.size > width:
+                edges = np.linspace(0, data.size, width + 1).astype(int)
+                data = np.array([
+                    data[lo:hi].mean() if hi > lo else 0.0
+                    for lo, hi in zip(edges[:-1], edges[1:])
+                ])
+            top = data.max()
+            if top <= 0:
+                return _BLOCKS[0] * len(data)
+            scaled = (data / top * (len(_BLOCKS) - 1)).round().astype(int)
+            return "".join(_BLOCKS[level] for level in scaled)
+
+        rng = np.random.default_rng(width)
+        for _ in range(200):
+            size = int(rng.integers(1, 400))
+            series = rng.exponential(10.0 ** rng.uniform(-2, 9), size)
+            series[rng.random(size) < 0.1] = np.nan
+            assert sparkline(series, width) == chunk_loop(series, width)
 
 
 class TestRenderers:

@@ -1,5 +1,8 @@
 """Tests for the domestic/international midpoint classifier."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -164,3 +167,39 @@ class TestClassifier:
         dataset = FlowDatasetBuilder(day0=0.0).finalize()
         report = InternationalClassifier(geo_db).classify(dataset)
         assert report.is_international.size == 0
+
+
+class TestSharedPlan:
+    def test_threads_classify_identically(self, mini_artifacts):
+        """Eight threads on the process-wide plan agree with the study."""
+        config = mini_artifacts.config
+        geo_db = mini_artifacts.generator.plan.geo_db
+
+        def classify(_):
+            return InternationalClassifier(
+                geo_db, config.geo_excluded_domains).classify(
+                    mini_artifacts.dataset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                reports = list(pool.map(classify, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        expected = mini_artifacts.midpoints
+        for report in reports:
+            for field in ("lat", "lon", "is_international", "classifiable"):
+                np.testing.assert_array_equal(
+                    getattr(report, field), getattr(expected, field))
+
+    def test_located_coordinates_match_scalar_lookup(self, mini_artifacts):
+        geo_db = mini_artifacts.generator.plan.geo_db
+        addresses = np.unique(mini_artifacts.dataset.resp_h)
+        lat, lon = geo_db.locate(addresses)
+        for address, got_lat, got_lon in zip(addresses, lat, lon):
+            location = geo_db.lookup(int(address))
+            if location is None:
+                assert np.isnan(got_lat) and np.isnan(got_lon)
+            else:
+                assert (got_lat, got_lon) == (location.lat, location.lon)

@@ -1,11 +1,13 @@
 """Tests for repro.net.ip."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.ip import (
     Prefix,
     PrefixAllocator,
+    PrefixTable,
     int_to_ip,
     ip_in_any,
     ip_to_int,
@@ -109,3 +111,47 @@ class TestPrefixAllocator:
         before = allocator.remaining()
         allocator.allocate(26)
         assert allocator.remaining() == before - 64
+
+
+class TestPrefixTable:
+    def test_empty_table_misses(self):
+        table = PrefixTable([])
+        assert len(table) == 0
+        assert table.lookup(0) == -1
+        assert table.lookup_many(np.array([0, 2**32 - 1])).tolist() == [-1, -1]
+
+    def test_most_specific_prefix_wins(self):
+        table = PrefixTable([Prefix.parse("10.0.0.0/8"),
+                             Prefix.parse("10.1.0.0/16"),
+                             Prefix.parse("10.1.2.0/24")])
+        assert table.lookup(ip_to_int("10.1.2.3")) == 2
+        assert table.lookup(ip_to_int("10.1.3.3")) == 1
+        assert table.lookup(ip_to_int("10.2.0.0")) == 0
+        assert table.lookup(ip_to_int("11.0.0.0")) == -1
+        assert table.lookup(ip_to_int("9.255.255.255")) == -1
+
+    def test_enclosing_prefix_resumes_after_nested_one(self):
+        table = PrefixTable([Prefix.parse("10.0.0.0/24"),
+                             Prefix.parse("10.0.0.0/8")])
+        assert table.lookup(ip_to_int("10.0.0.255")) == 0
+        assert table.lookup(ip_to_int("10.0.1.0")) == 1
+
+    def test_duplicate_listed_last_wins(self):
+        prefix = Prefix.parse("10.0.0.0/24")
+        table = PrefixTable([prefix, Prefix.parse("10.0.0.0/8"), prefix])
+        assert table.lookup(ip_to_int("10.0.0.7")) == 2
+
+    def test_whole_space_and_top_address(self):
+        table = PrefixTable([Prefix.parse("0.0.0.0/0"),
+                             Prefix.parse("255.255.255.255/32")])
+        addresses = np.array([0, 2**32 - 2, 2**32 - 1], dtype=np.uint32)
+        assert table.lookup_many(addresses).tolist() == [0, 0, 1]
+        assert table.lookup(2**32) == -1
+
+    def test_scalar_and_vector_agree(self):
+        table = PrefixTable([Prefix.parse("50.0.0.0/16"),
+                             Prefix.parse("50.0.4.0/22")])
+        addresses = list(range(ip_to_int("50.0.0.0") - 2,
+                               ip_to_int("50.1.0.0") + 2, 97))
+        assert (table.lookup_many(np.array(addresses)).tolist()
+                == [table.lookup(a) for a in addresses])

@@ -9,6 +9,7 @@ from repro.synth.generator import (
     PRESENCE_ALL_RESIDENTS,
     PRESENCE_STUDY,
     CampusTraceGenerator,
+    default_world,
 )
 from repro.util.timeutil import DAY, utc_ts
 
@@ -142,3 +143,12 @@ class TestSubRangeReproducibility:
             assert trace.connection_count == reference.connection_count
             assert ([self._burst_key(b) for b in trace.bursts]
                     == [self._burst_key(b) for b in reference.bursts])
+
+
+class TestSharedWorld:
+    def test_generators_share_one_plan(self):
+        first = CampusTraceGenerator(_CONFIG)
+        second = CampusTraceGenerator(StudyConfig(n_students=3, seed=9))
+        assert first.plan is second.plan is default_world()
+        assert first.directory is second.directory is first.plan.directory
+        assert first.plan.geo_db is second.plan.geo_db
