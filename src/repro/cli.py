@@ -222,16 +222,24 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.io.tracedir import ingest_trace_dir
     from repro.pipeline.pipeline import MonitoringPipeline
     from repro.pipeline.visitors import apply_visitor_filter
+    from repro.reliability.errors import RecordError
     from repro.reliability.quarantine import QuarantineSink
-    from repro.synth.generator import CampusTraceGenerator
+    from repro.synth.generator import default_world
 
     config = _load_config(args.traces)
-    generator = CampusTraceGenerator(config)
     pipeline = MonitoringPipeline(
-        config, generator.plan.excluded_blocks(config.excluded_operators))
+        config, default_world().excluded_blocks(config.excluded_operators))
     mode = "lenient" if args.lenient else "strict"
     sink = QuarantineSink() if args.lenient else None
-    days = ingest_trace_dir(pipeline, args.traces, mode=mode, sink=sink)
+    try:
+        days = ingest_trace_dir(pipeline, args.traces, mode=mode, sink=sink)
+    except RecordError as error:
+        # Lenient mode quarantines malformed lines, but a record out of
+        # stream order stops the replay in either mode.
+        where = (f" ({error.source} line {error.line_no})"
+                 if error.line_no is not None else "")
+        print(f"error: {error}{where}", file=sys.stderr)
+        return 2
     _progress(f"ingested {days} days "
               f"({pipeline.stats.flows_closed} flows)")
     if sink is not None and len(sink):

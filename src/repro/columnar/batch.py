@@ -1,11 +1,14 @@
-"""Record batches: parallel column sets extracted from row objects.
+"""Record batches: parallel column sets for the columnar ingest path.
 
 Two batch shapes cross the columnar ingest path:
 
 * :class:`BurstBatch` -- one column per :class:`~repro.net.wire.
-  SegmentBurst` field, extracted in a single pass over the day's burst
-  objects. This is the only place the columnar path touches Python
-  row objects; everything downstream is numpy.
+  SegmentBurst` field. Live generation hands the pipeline a day of
+  burst objects, which :meth:`BurstBatch.from_bursts` takes apart in a
+  single pass; a replayed trace day is decoded straight from its
+  JSONL lines into a batch (:func:`repro.io.tracedir.iter_trace_days`)
+  and never becomes row objects at all. Either way, everything
+  downstream is numpy.
 * :class:`FlowBatch` -- closed flows in *emission order* (the exact
   order the scalar engine would have returned them), produced by
   :class:`~repro.columnar.engine.ColumnarFlowEngine` and consumed by
@@ -19,17 +22,13 @@ string table, with ``-1`` standing for None.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence,
+from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 import numpy as np
 
+from repro.net.wire import SegmentBurst
 from repro.zeek.conn import ConnRecord
-
-if TYPE_CHECKING:
-    from numpy.typing import DTypeLike
-
-    from repro.net.wire import SegmentBurst
 
 
 def _encode_strings(values: Union[np.ndarray, Sequence[Optional[str]]]
@@ -71,12 +70,6 @@ def _encode_protocols(protos: np.ndarray) -> Tuple[np.ndarray, List[str]]:
     return ids, table
 
 
-def _column(rows: list, name: str, dtype: "DTypeLike") -> np.ndarray:
-    """One field of every row as a typed array, in a single C-level
-    pass (fromiter over an attrgetter map -- no intermediate list)."""
-    return np.fromiter(map(attrgetter(name), rows), dtype, count=len(rows))
-
-
 #: SegmentBurst fields, pulled in two fromiter passes over structured
 #: dtypes -- attrgetter yields a tuple per row and numpy scatters it
 #: straight into the record array. Numeric and object fields go in
@@ -94,8 +87,19 @@ _NUMERIC_GETTER = attrgetter(*_NUMERIC_DTYPE.names)
 _OBJECT_GETTER = attrgetter(*_OBJECT_DTYPE.names)
 
 
+#: Named columns: a structured array or a dict of arrays by field name.
+Columns = Union[np.ndarray, Mapping[str, np.ndarray]]
+
+
 class BurstBatch:
-    """One day (or chunk) of wire bursts as parallel columns."""
+    """One day (or chunk) of wire bursts as parallel columns.
+
+    Also a read-only sequence of :class:`~repro.net.wire.SegmentBurst`
+    rows (``len``, indexing, iteration and row-wise ``==``): a compat
+    surface for the row-at-a-time engine and for tests that compare a
+    replayed day with the generator's burst list. ``len`` is O(1); the
+    rest materializes rows and never runs on the columnar hot path.
+    """
 
     __slots__ = ("n", "ts", "client_ip", "client_port", "server_ip",
                  "server_port", "proto_id", "proto_table", "orig_bytes",
@@ -126,12 +130,43 @@ class BurstBatch:
         self.is_final = is_final
 
     @classmethod
+    def from_columns(cls, numeric: Columns,
+                     objects: Columns) -> "BurstBatch":
+        """Build a batch from one column per SegmentBurst field.
+
+        ``numeric`` holds the number and flag fields (the names of
+        ``_NUMERIC_DTYPE``), taken as they are; ``objects`` holds
+        ``proto``, ``user_agent`` and ``http_host`` (None for absent),
+        dictionary-encoded here. Either may be a structured array or a
+        dict of arrays.
+        """
+        ua_id, ua_table = _encode_strings(objects["user_agent"])
+        host_id, host_table = _encode_strings(objects["http_host"])
+        proto_id, proto_table = _encode_protocols(objects["proto"])
+        return cls(
+            ts=numeric["ts"],
+            client_ip=numeric["client_ip"],
+            client_port=numeric["client_port"],
+            server_ip=numeric["server_ip"],
+            server_port=numeric["server_port"],
+            proto_id=proto_id,
+            proto_table=proto_table,
+            orig_bytes=numeric["orig_bytes"],
+            resp_bytes=numeric["resp_bytes"],
+            ua_id=ua_id,
+            ua_table=ua_table,
+            host_id=host_id,
+            host_table=host_table,
+            is_final=numeric["is_final"],
+        )
+
+    @classmethod
     def from_bursts(cls, bursts: "Iterable[SegmentBurst]") -> "BurstBatch":
         """Extract columns from SegmentBurst-like row objects.
 
-        The per-field comprehensions below are the extraction boundary:
-        the one deliberate scan over Python objects that buys every
-        later stage its vector form.
+        The two fromiter passes below are the extraction boundary: the
+        one deliberate scan over Python objects that buys every later
+        stage its vector form.
         """
         rows = bursts if isinstance(bursts, list) else list(bursts)
         n = len(rows)
@@ -139,25 +174,52 @@ class BurstBatch:
                           count=n)
         obj = np.fromiter(map(_OBJECT_GETTER, rows), _OBJECT_DTYPE,
                           count=n)
-        ua_id, ua_table = _encode_strings(obj["user_agent"])
-        host_id, host_table = _encode_strings(obj["http_host"])
-        proto_id, proto_table = _encode_protocols(obj["proto"])
-        return cls(
-            ts=rec["ts"],
-            client_ip=rec["client_ip"],
-            client_port=rec["client_port"],
-            server_ip=rec["server_ip"],
-            server_port=rec["server_port"],
-            proto_id=proto_id,
-            proto_table=proto_table,
-            orig_bytes=rec["orig_bytes"],
-            resp_bytes=rec["resp_bytes"],
-            ua_id=ua_id,
-            ua_table=ua_table,
-            host_id=host_id,
-            host_table=host_table,
-            is_final=rec["is_final"],
+        return cls.from_columns(rec, obj)
+
+    # -- read-only row view (compat surface) --------------------------------
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self) -> Iterator[SegmentBurst]:
+        """Materialize SegmentBurst rows (compat/testing surface only)."""
+        protos = [self.proto_table[code] for code in self.proto_id.tolist()]
+        uas = [None if code < 0 else self.ua_table[code]
+               for code in self.ua_id.tolist()]
+        hosts = [None if code < 0 else self.host_table[code]
+                 for code in self.host_id.tolist()]
+        return map(SegmentBurst, self.ts.tolist(), self.client_ip.tolist(),
+                   self.client_port.tolist(), self.server_ip.tolist(),
+                   self.server_port.tolist(), protos,
+                   self.orig_bytes.tolist(), self.resp_bytes.tolist(),
+                   uas, hosts, self.is_final.tolist())
+
+    def __getitem__(self, index: int) -> SegmentBurst:
+        """One SegmentBurst row (compat/testing surface only)."""
+        i = range(self.n)[index]  # bounds check, negative indices
+        ua = int(self.ua_id[i])
+        host = int(self.host_id[i])
+        return SegmentBurst(
+            ts=float(self.ts[i]),
+            client_ip=int(self.client_ip[i]),
+            client_port=int(self.client_port[i]),
+            server_ip=int(self.server_ip[i]),
+            server_port=int(self.server_port[i]),
+            proto=self.proto_table[int(self.proto_id[i])],
+            orig_bytes=int(self.orig_bytes[i]),
+            resp_bytes=int(self.resp_bytes[i]),
+            user_agent=None if ua < 0 else self.ua_table[ua],
+            http_host=None if host < 0 else self.host_table[host],
+            is_final=bool(self.is_final[i]),
         )
+
+    def __eq__(self, other: object) -> bool:
+        """Row-wise equality with any burst sequence (compat surface)."""
+        if not isinstance(other, (BurstBatch, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]  # mutable-column container
 
     def compress(self, mask: np.ndarray) -> "BurstBatch":
         """A new batch holding only the masked rows (tables shared)."""

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.columnar.batch import BurstBatch, FlowBatch
 from repro.perf.kernels import segmented_running_max
+from repro.reliability.errors import CATEGORY_ORDER, RecordError
 from repro.zeek.conn import ConnRecord
 from repro.zeek.http import HttpRecord
 
@@ -174,10 +175,10 @@ class ColumnarFlowEngine:
         bad = ts < prev_hwm - 1.0
         if bad.any():
             i = int(bad.argmax())
-            raise ValueError(
+            raise RecordError(
                 f"bursts out of order: {float(ts[i])} after "
-                f"{float(prev_hwm[i])}"
-            )
+                f"{float(prev_hwm[i])}",
+                source="wire", category=CATEGORY_ORDER)
         self._last_burst_ts = max(self._last_burst_ts, float(hwm[-1]))
 
         # Plaintext request sightings: count now, materialize on drain.

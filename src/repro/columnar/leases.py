@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.dhcp.log import DhcpLogRecord
 from repro.net.mac import MacAddress
+from repro.reliability.errors import CATEGORY_ORDER, RecordError
 
 
 class ColumnarLeaseIndex:
@@ -58,10 +59,10 @@ class ColumnarLeaseIndex:
         self._record_count += 1
         tail = self._tail.get(record.ip)
         if tail is not None and record.ts < self._starts[tail]:
-            raise ValueError(
+            raise RecordError(
                 f"DHCP log out of order for IP {record.ip}: "
-                f"{record.ts} < {self._starts[tail]}"
-            )
+                f"{record.ts} < {self._starts[tail]}",
+                source="dhcp", category=CATEGORY_ORDER)
         mid = self._intern_mac(record.mac)
         self._built = None
         if tail is not None and self._mids[tail] == mid \

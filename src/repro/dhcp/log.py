@@ -64,7 +64,7 @@ class DhcpLogRecord:
             raise RecordError(
                 f"dhcp record missing field {exc}", source=_SOURCE,
                 category=CATEGORY_FIELD, line_no=line_no, line=line) from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise RecordError(
                 f"dhcp record has a bad value: {exc}", source=_SOURCE,
                 category=CATEGORY_VALUE, line_no=line_no, line=line) from exc

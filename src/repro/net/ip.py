@@ -19,6 +19,9 @@ import numpy as np
 
 def ip_to_int(text: str) -> int:
     """Parse dotted-quad notation into an integer address."""
+    if not isinstance(text, str):
+        raise TypeError(f"IPv4 address must be a string, not "
+                        f"{type(text).__name__}")
     parts = text.split(".")
     if len(parts) != 4:
         raise ValueError(f"malformed IPv4 address: {text!r}")

@@ -31,6 +31,9 @@ class MacAddress:
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
         """Parse ``aa:bb:cc:dd:ee:ff`` (or ``-`` separated) notation."""
+        if not isinstance(text, str):
+            raise TypeError(f"MAC address must be a string, not "
+                            f"{type(text).__name__}")
         octets = text.replace("-", ":").split(":")
         if len(octets) != 6:
             raise ValueError(f"malformed MAC address: {text!r}")

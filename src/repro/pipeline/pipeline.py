@@ -212,8 +212,11 @@ class MonitoringPipeline:
                 self.ip_domain.ingest(record)
 
         if self._registrar is not None:
-            batch = self.tap.filter_batch(
-                BurstBatch.from_bursts(trace.bursts))
+            # Replayed days arrive as columns already; live ones as rows.
+            bursts = trace.bursts
+            if not isinstance(bursts, BurstBatch):
+                bursts = BurstBatch.from_bursts(bursts)
+            batch = self.tap.filter_batch(bursts)
             self._registrar.register(self.flow_engine.process_batch(batch))
             # Close flows that have gone idle by end of day; still-active
             # flows remain open into the next day's processing.

@@ -23,6 +23,12 @@ MODE_LENIENT = "lenient"
 RecordT = TypeVar("RecordT")
 
 
+def check_mode(mode: str) -> None:
+    """Refuse a parse mode no reader accepts."""
+    if mode not in (MODE_STRICT, MODE_LENIENT):
+        raise ValueError(f"unknown parse mode: {mode!r}")
+
+
 def parse_json_object(line: str, *, source: str,
                       line_no: Optional[int] = None) -> dict:
     """Decode one JSONL line into a dict; raises :class:`RecordError`."""
@@ -53,8 +59,7 @@ def read_jsonl_records(lines: Iterable[str],
     lines are skipped in both modes and counted when a ``sink`` is
     given -- a partially flushed log file must never abort a run.
     """
-    if mode not in (MODE_STRICT, MODE_LENIENT):
-        raise ValueError(f"unknown parse mode: {mode!r}")
+    check_mode(mode)
     for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.wire import SegmentBurst
+from repro.reliability.errors import CATEGORY_ORDER, RecordError
 from repro.zeek.conn import ConnRecord
 from repro.zeek.http import HttpRecord
 
@@ -60,9 +61,10 @@ class FlowEngine:
         closed: List[ConnRecord] = []
         for burst in bursts:
             if burst.ts < self._last_burst_ts - 1.0:
-                raise ValueError(
-                    f"bursts out of order: {burst.ts} after {self._last_burst_ts}"
-                )
+                raise RecordError(
+                    f"bursts out of order: {burst.ts} after "
+                    f"{self._last_burst_ts}",
+                    source="wire", category=CATEGORY_ORDER)
             self._last_burst_ts = max(self._last_burst_ts, burst.ts)
             self._ingest(burst, closed)
         return closed

@@ -1,11 +1,17 @@
 """Tests for the command-line interface (tiny windows to stay fast)."""
 
+import gzip
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestParser:
@@ -156,3 +162,49 @@ class TestExportIngest:
         assert main(["ingest", "--traces", out_dir]) == 0
         output = capsys.readouterr().out
         assert "Headline statistics" in output
+
+
+class TestIngestOrderError:
+    """A wire record out of stream order stops `repro ingest` with one
+    ``error:`` line and exit code 2, in strict and lenient mode alike."""
+
+    @pytest.fixture(scope="class")
+    def reordered(self, tmp_path_factory):
+        import repro.cli as cli
+        from repro import StudyConfig
+        from repro.io.tracedir import WIRE_FILE, export_traces, read_manifest
+        from repro.synth.generator import CampusTraceGenerator
+        from repro.util.timeutil import utc_ts
+
+        config = StudyConfig(n_students=3, seed=5,
+                             start_ts=utc_ts(2020, 2, 3),
+                             end_ts=utc_ts(2020, 2, 5))
+        root = str(tmp_path_factory.mktemp("reordered"))
+        export_traces(CampusTraceGenerator(config).iter_days(), root)
+        cli._save_config(config, root)
+        # Move an early record of the first day to the end of its file.
+        day = read_manifest(root)["days"][0]
+        path = os.path.join(root, day, WIRE_FILE)
+        with gzip.open(path, "rt") as fileobj:
+            lines = fileobj.read().splitlines()
+        assert len(lines) > 2
+        lines.append(lines.pop(1))
+        with gzip.open(path, "wt") as fileobj:
+            fileobj.write("\n".join(lines) + "\n")
+        return root
+
+    @pytest.mark.parametrize("flags", [[], ["--lenient"]])
+    def test_out_of_order_wire_is_an_error_not_a_traceback(self, reordered,
+                                                           flags):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "ingest", "--traces", reordered,
+             *flags],
+            capture_output=True, text=True, timeout=300,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"),
+                 "PATH": os.environ.get("PATH", "/usr/bin:/bin")})
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "bursts out of order" in errors[0]

@@ -1,12 +1,15 @@
 """Tests for trace-directory export and replay."""
 
+import gzip
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import StudyConfig
+from repro.columnar.batch import BurstBatch
 from repro.io.tracedir import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -19,6 +22,7 @@ from repro.io.tracedir import (
 )
 from repro.net.wire import SegmentBurst
 from repro.pipeline.pipeline import MonitoringPipeline
+from repro.reliability.errors import CATEGORY_VALUE, RecordError
 from repro.synth.generator import CampusTraceGenerator
 from repro.util.timeutil import utc_ts
 
@@ -116,3 +120,59 @@ class TestExportAndReplay:
         root = str(tmp_path / "traces")
         export_traces(traces, root, extra_manifest={"seed": 31})
         assert read_manifest(root)["seed"] == 31
+
+
+class TestColumnarReplay:
+    def test_replay_decodes_into_a_batch(self, generated, tmp_path):
+        """Replay hands the pipeline columns: from_bursts never runs."""
+        traces, excluded = generated
+        root = str(tmp_path / "traces")
+        export_traces(traces, root)
+        pipeline = MonitoringPipeline(_CONFIG, excluded)
+        with mock.patch.object(BurstBatch, "from_bursts",
+                               side_effect=AssertionError):
+            days = list(iter_trace_days(root))
+            for day in days:
+                pipeline.ingest_day(day)
+        assert all(isinstance(day.bursts, BurstBatch) for day in days)
+        assert pipeline.stats.bursts_seen == sum(
+            len(trace.bursts) for trace in traces)
+
+    def test_batch_reads_as_burst_rows(self, generated):
+        traces, _ = generated
+        bursts = traces[0].bursts
+        batch = BurstBatch.from_bursts(bursts)
+        assert len(batch) == len(bursts)
+        assert batch[0] == bursts[0]
+        assert batch[-1] == bursts[-1]
+        assert list(batch) == bursts
+        assert batch == bursts and bursts == batch
+        assert batch == tuple(bursts)
+        assert batch != bursts[:-1]
+        with pytest.raises(IndexError):
+            batch[len(bursts)]
+
+    def test_dirty_file_falls_back_to_the_line_reader(self, generated,
+                                                     tmp_path):
+        """One bad line: strict raises at its line, lenient keeps the
+        rest -- the same records the clean file gave, minus that one."""
+        traces, _ = generated
+        root = str(tmp_path / "traces")
+        export_traces(traces[:1], root)
+        path = os.path.join(root, read_manifest(root)["days"][0],
+                            "wire.jsonl.gz")
+        with gzip.open(path, "rt") as fileobj:
+            lines = fileobj.read().splitlines()
+        bad = json.loads(lines[2])
+        bad["cp"] = "not a port"
+        lines[2] = json.dumps(bad)
+        with gzip.open(path, "wt") as fileobj:
+            fileobj.write("\n".join(lines) + "\n")
+
+        with pytest.raises(RecordError) as excinfo:
+            list(iter_trace_days(root))
+        assert excinfo.value.category == CATEGORY_VALUE
+        assert excinfo.value.line_no == 3
+        (day,) = iter_trace_days(root, mode="lenient")
+        expected = traces[0].bursts[:2] + traces[0].bursts[3:]
+        assert day.bursts == expected

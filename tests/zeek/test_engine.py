@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.columnar.engine import ColumnarFlowEngine
 from repro.net.wire import SegmentBurst
+from repro.reliability.errors import CATEGORY_ORDER, RecordError
 from repro.zeek.engine import FlowEngine
 
 
@@ -81,6 +83,14 @@ class TestAssembly:
         engine = FlowEngine(idle_timeout=60)
         with pytest.raises(ValueError):
             engine.process([_burst(100.0), _burst(50.0)])
+
+    @pytest.mark.parametrize("engine_type", [FlowEngine, ColumnarFlowEngine])
+    def test_out_of_order_is_a_wire_order_record_error(self, engine_type):
+        engine = engine_type(idle_timeout=60)
+        with pytest.raises(RecordError) as excinfo:
+            engine.process([_burst(100.0), _burst(50.0)])
+        assert excinfo.value.source == "wire"
+        assert excinfo.value.category == CATEGORY_ORDER
 
     def test_small_jitter_tolerated(self):
         engine = FlowEngine(idle_timeout=60)
